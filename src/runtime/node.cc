@@ -178,6 +178,8 @@ void NodeRuntime::collect_metrics(obs::Registry& r) {
   sink("crsm_storage_held_messages_total", ss.held_messages);
   sink("crsm_storage_checkpoints_total", ss.checkpoints);
   sink("crsm_storage_max_batch", ss.max_batch);
+  sink("crsm_storage_log_records", ss.log_records);
+  sink("crsm_storage_log_compactions_total", ss.log_compactions);
 
   sink("crsm_executed_total", executed_.load(std::memory_order_relaxed));
   sink("crsm_reads_served_total",

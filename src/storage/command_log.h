@@ -26,6 +26,9 @@ class CommandLog {
   virtual void append(const LogRecord& r) = 0;
   // Flushes to stable storage; a durability point for PREPAREOK.
   virtual void sync() {}
+  // False when sync() makes nothing durable (an in-memory log): such a
+  // log's syncs and structural rewrites are not counted as fsyncs.
+  [[nodiscard]] virtual bool persistent() const { return true; }
 
   [[nodiscard]] virtual const std::vector<LogRecord>& records() const = 0;
   [[nodiscard]] std::size_t size() const { return records().size(); }
@@ -48,6 +51,7 @@ class CommandLog {
 class MemLog final : public CommandLog {
  public:
   void append(const LogRecord& r) override { records_.push_back(r); }
+  [[nodiscard]] bool persistent() const override { return false; }
   [[nodiscard]] const std::vector<LogRecord>& records() const override { return records_; }
   void remove_uncommitted_above(Timestamp bound,
                                 const std::function<bool(const Timestamp&)>& keep) override;

@@ -13,13 +13,17 @@ GroupCommitLog::GroupCommitLog(std::unique_ptr<CommandLog> inner,
                                bool defer_sync,
                                std::uint64_t test_fsync_delay_us)
     : inner_(std::move(inner)),
+      persistent_(inner_->persistent()),
       defer_sync_(defer_sync),
-      test_fsync_delay_us_(test_fsync_delay_us) {}
+      test_fsync_delay_us_(test_fsync_delay_us) {
+  records_.store(inner_->size(), std::memory_order_relaxed);
+}
 
 void GroupCommitLog::append(const LogRecord& r) {
   inner_->append(r);
   ++batch_appends_;
   appends_.fetch_add(1, std::memory_order_relaxed);
+  records_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void GroupCommitLog::sync() {
@@ -37,28 +41,33 @@ std::size_t GroupCommitLog::flush() {
   inner_->sync();
   sync_pending_ = false;
   batch_appends_ = 0;
-  syncs_.fetch_add(1, std::memory_order_relaxed);
-  if (batch > max_batch_.load(std::memory_order_relaxed)) {
-    max_batch_.store(batch, std::memory_order_relaxed);
+  if (persistent_) {
+    syncs_.fetch_add(1, std::memory_order_relaxed);
+    if (batch > max_batch_.load(std::memory_order_relaxed)) {
+      max_batch_.store(batch, std::memory_order_relaxed);
+    }
   }
   return batch;
 }
 
 void GroupCommitLog::remove_uncommitted_above(
     Timestamp bound, const std::function<bool(const Timestamp&)>& keep) {
-  // FileLog rewrites + syncs the whole file here, so any owed durability
-  // point is covered; count the batch as flushed.
   inner_->remove_uncommitted_above(bound, keep);
-  sync_pending_ = false;
-  batch_appends_ = 0;
-  syncs_.fetch_add(1, std::memory_order_relaxed);
+  note_rewrite();
 }
 
 void GroupCommitLog::truncate_prefix(Timestamp upto) {
   inner_->truncate_prefix(upto);
+  note_rewrite();
+}
+
+void GroupCommitLog::note_rewrite() {
+  // FileLog rewrites + syncs the whole file on a structural change, so any
+  // owed durability point is covered; count the batch as flushed.
   sync_pending_ = false;
   batch_appends_ = 0;
-  syncs_.fetch_add(1, std::memory_order_relaxed);
+  if (persistent_) syncs_.fetch_add(1, std::memory_order_relaxed);
+  records_.store(inner_->size(), std::memory_order_relaxed);
 }
 
 void GroupCommitLog::fill_stats(StorageStats* out) const {
@@ -66,6 +75,7 @@ void GroupCommitLog::fill_stats(StorageStats* out) const {
   out->sync_requests = sync_requests_.load(std::memory_order_relaxed);
   out->syncs = syncs_.load(std::memory_order_relaxed);
   out->max_batch = max_batch_.load(std::memory_order_relaxed);
+  out->log_records = records_.load(std::memory_order_relaxed);
 }
 
 // --- ReplicaStorage --------------------------------------------------------
@@ -92,6 +102,9 @@ std::string ReplicaStorage::checkpoint_path() const {
 }
 
 std::string ReplicaStorage::encoded_checkpoint() const {
+  if (live_sm_ != nullptr) {
+    return take_checkpoint(*live_sm_, executed_, /*epoch=*/0).encode();
+  }
   return checkpoint_ ? checkpoint_->encode() : std::string();
 }
 
@@ -105,16 +118,31 @@ void ReplicaStorage::install_checkpoint(std::string_view blob,
                                         StateMachine& sm) {
   Checkpoint cp = Checkpoint::decode(std::string(blob));
   sm.restore(cp.state);
+  if (!durable()) {
+    // The restored state machine is the volatile replica's checkpoint.
+    live_sm_ = &sm;
+    executed_ = cp.last_applied;
+    compact_volatile_log(executed_);
+    return;
+  }
   checkpoint_ = std::move(cp);
   // Persist before truncating the covered WAL prefix (same order as
   // note_commit): a crash between the two must leave the prefix in at
   // least one of the checkpoint file or the log, never neither.
-  if (durable()) persist_checkpoint(*checkpoint_);
+  persist_checkpoint(*checkpoint_);
   log_->truncate_prefix(checkpoint_->last_applied);
 }
 
 void ReplicaStorage::note_commit(const StateMachine& sm, Timestamp ts) {
-  if (!durable() || opt_.checkpoint_every == 0) return;
+  if (!durable()) {
+    live_sm_ = &sm;
+    executed_ = ts;
+    if (log_->size() >= 2 * live_after_compaction_ + kCompactionSlack) {
+      compact_volatile_log(ts);
+    }
+    return;
+  }
+  if (opt_.checkpoint_every == 0) return;
   if (++commits_since_checkpoint_ < opt_.checkpoint_every) return;
   commits_since_checkpoint_ = 0;
   // `ts` is the commit timestamp of the command just executed; execution is
@@ -129,6 +157,13 @@ void ReplicaStorage::note_commit(const StateMachine& sm, Timestamp ts) {
   truncate_covered_prefix(*log_, *checkpoint_);
 }
 
+void ReplicaStorage::compact_volatile_log(Timestamp executed) {
+  log_->truncate_prefix(executed);
+  dropped_upto_ = executed;
+  live_after_compaction_ = log_->size();
+  compactions_.fetch_add(1, std::memory_order_relaxed);
+}
+
 void ReplicaStorage::persist_checkpoint(const Checkpoint& cp) {
   write_checkpoint_file(checkpoint_path(), cp);
   checkpoints_.fetch_add(1, std::memory_order_relaxed);
@@ -139,6 +174,7 @@ StorageStats ReplicaStorage::stats() const {
   log_->fill_stats(&s);
   s.held_messages = held_messages_.load(std::memory_order_relaxed);
   s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
+  s.log_compactions = compactions_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -8,6 +8,12 @@
 // experiments; a directory selects a FileLog WAL plus an atomically written
 // checkpoint file, and the replica becomes restartable.
 //
+// Memory: a volatile replica keeps only its unexecuted log tail. note_commit
+// drops the executed prefix once it outweighs the live tail, and a peer
+// asking for that prefix gets a snapshot of the live state machine instead
+// (see note_commit). A durable replica's FileLog mirrors the whole WAL in
+// memory until a checkpoint (checkpoint_every) truncates it.
+//
 // Durability cost is managed with group commit: the protocol requests a
 // durability point per PREPARE (CommandLog::sync()), but GroupCommitLog
 // defers the fdatasync; the runtime calls flush() once per event-loop pass,
@@ -33,15 +39,15 @@
 namespace crsm {
 
 struct StorageOptions {
-  // Empty: volatile MemLog, no checkpoints (PR 3 behavior, and the paper's
-  // local-cluster throughput setup). Non-empty: the replica's durable state
+  // Empty: volatile MemLog, no checkpoint files (the paper's local-cluster
+  // throughput setup). Non-empty: the replica's durable state
   // lives in this directory (created if absent) as wal.log + checkpoint.bin.
   std::string dir;
   // FileLog only: batch fdatasyncs per runtime pass instead of syncing on
   // every protocol durability request.
   bool group_commit = true;
-  // Committed commands between checkpoints (0 = never checkpoint). Each
-  // checkpoint truncates the covered log prefix.
+  // Durable only: committed commands between checkpoints (0 = never
+  // checkpoint). Each checkpoint truncates the covered log prefix.
   std::uint64_t checkpoint_every = 0;
   // Fault injection (tests only): sleep this long before every fsync batch,
   // emulating a slow or stalling device under this replica's WAL. Multi-group
@@ -55,17 +61,20 @@ struct StorageOptions {
 struct StorageStats {
   std::uint64_t appends = 0;        // log records appended
   std::uint64_t sync_requests = 0;  // durability points requested (sync())
-  std::uint64_t syncs = 0;          // fdatasync batches actually issued
+  std::uint64_t syncs = 0;          // fdatasyncs issued (0 for a MemLog)
   std::uint64_t max_batch = 0;      // largest appends-per-fsync batch
   std::uint64_t held_messages = 0;  // sends held until the durability point
   std::uint64_t checkpoints = 0;    // checkpoints taken + persisted
+  std::uint64_t log_records = 0;    // records held in memory now (gauge)
+  std::uint64_t log_compactions = 0;  // volatile executed-prefix drops
 };
 
 // CommandLog decorator implementing group commit. In deferred mode, sync()
 // only records that a durability point is owed; flush() issues one inner
 // sync covering every append since the last flush. In pass-through mode
 // (MemLog, or group_commit = false) sync() forwards immediately, so
-// protocol code is oblivious either way.
+// protocol code is oblivious either way. Only syncs of a persistent() inner
+// log count as fsyncs in the stats.
 class GroupCommitLog final : public CommandLog {
  public:
   GroupCommitLog(std::unique_ptr<CommandLog> inner, bool defer_sync,
@@ -89,7 +98,10 @@ class GroupCommitLog final : public CommandLog {
   void fill_stats(StorageStats* out) const;
 
  private:
+  void note_rewrite();
+
   std::unique_ptr<CommandLog> inner_;
+  const bool persistent_;
   const bool defer_sync_;
   const std::uint64_t test_fsync_delay_us_;
   bool sync_pending_ = false;
@@ -99,6 +111,7 @@ class GroupCommitLog final : public CommandLog {
   std::atomic<std::uint64_t> sync_requests_{0};
   std::atomic<std::uint64_t> syncs_{0};
   std::atomic<std::uint64_t> max_batch_{0};
+  std::atomic<std::uint64_t> records_{0};
 };
 
 // One replica's stable storage: log + checkpoint + recovery bookkeeping.
@@ -106,6 +119,12 @@ class GroupCommitLog final : public CommandLog {
 // which is safe from any thread.
 class ReplicaStorage {
  public:
+  // A volatile log is compacted at the first note_commit where the records
+  // appended since the last compaction are at least the live tail it left
+  // plus this many. While execution keeps up, the log therefore holds at
+  // most 2 x live tail + kCompactionSlack records.
+  static constexpr std::size_t kCompactionSlack = 1024;
+
   explicit ReplicaStorage(StorageOptions opt);
 
   [[nodiscard]] CommandLog& log() { return *log_; }
@@ -119,13 +138,15 @@ class ReplicaStorage {
   void flush() { (void)log_->flush(); }
 
   // --- checkpoints ---
+  // Highest timestamp whose log records are gone: the durable checkpoint's,
+  // or the volatile log's last compaction point.
   [[nodiscard]] Timestamp recovery_floor() const {
-    return checkpoint_ ? checkpoint_->last_applied : kZeroTimestamp;
+    return checkpoint_ ? checkpoint_->last_applied : dropped_upto_;
   }
-  [[nodiscard]] const std::optional<Checkpoint>& checkpoint() const {
-    return checkpoint_;
-  }
-  // Latest checkpoint, serialized ("" = none) — served to recovering peers.
+  // Serialized checkpoint ("" = none), served to recovering peers. Durable:
+  // the latest checkpoint file's. Volatile: a snapshot of the live state
+  // machine at the last note_commit, taken now — the write path never pays
+  // for it.
   [[nodiscard]] std::string encoded_checkpoint() const;
   // Restores `sm` from the boot checkpoint. Returns false if there is none.
   bool restore_into(StateMachine& sm) const;
@@ -134,9 +155,17 @@ class ReplicaStorage {
   // checkpoint so the next restart starts from it. Throws CodecError on a
   // malformed blob.
   void install_checkpoint(std::string_view blob, StateMachine& sm);
-  // Called once per executed command, in execution order. Takes + persists
-  // a checkpoint of `sm` every `checkpoint_every` commands (covering `ts`,
-  // the command's commit timestamp) and truncates the covered log prefix.
+  // Called once per executed log entry, in execution order, after the whole
+  // entry has applied to `sm`; `ts` is its commit timestamp. Durable: takes
+  // + persists a checkpoint every `checkpoint_every` entries and truncates
+  // the covered log prefix. Volatile: drops the executed prefix (every
+  // record at or below `ts`) on the schedule of kCompactionSlack, which
+  // keeps the cost amortized O(1) per entry. Safe because
+  // execution is in timestamp order, so every PREPARE at or below `ts` is
+  // committed, and `sm` (kept by reference) stands in for the dropped
+  // prefix when a peer asks for it. Like the durable checkpoint, this
+  // assumes a reconfiguration-free runtime: a SUSPEND or RETRIEVECMDS
+  // reaching below the dropped prefix could not be answered from the log.
   void note_commit(const StateMachine& sm, Timestamp ts);
 
   void count_held_message() {
@@ -146,6 +175,7 @@ class ReplicaStorage {
 
  private:
   void persist_checkpoint(const Checkpoint& cp);
+  void compact_volatile_log(Timestamp executed);
   [[nodiscard]] std::string wal_path() const;
   [[nodiscard]] std::string checkpoint_path() const;
 
@@ -154,8 +184,16 @@ class ReplicaStorage {
   std::optional<Checkpoint> checkpoint_;
   std::uint64_t commits_since_checkpoint_ = 0;
   bool boot_recovering_ = false;
+  // Volatile compaction state: the live state machine and its last executed
+  // timestamp (the on-demand checkpoint), the last compaction point and the
+  // log length right after it.
+  const StateMachine* live_sm_ = nullptr;
+  Timestamp executed_ = kZeroTimestamp;
+  Timestamp dropped_upto_ = kZeroTimestamp;
+  std::size_t live_after_compaction_ = 0;
   std::atomic<std::uint64_t> held_messages_{0};
   std::atomic<std::uint64_t> checkpoints_{0};
+  std::atomic<std::uint64_t> compactions_{0};
 };
 
 // The shared storage half of a runtime ProtocolEnv. NodeRuntime and

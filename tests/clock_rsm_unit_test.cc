@@ -1,10 +1,18 @@
 // Message-level unit tests for ClockRsmReplica using a scripted environment:
 // exact quorum boundaries, out-of-order deliveries, duplicate and stale
-// messages, epoch fencing, and the line-8 clock wait.
+// messages, epoch fencing, the line-8 clock wait, and catch-up served by a
+// volatile replica whose log no longer holds the executed prefix.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "clockrsm/clock_rsm.h"
+#include "kv/kv_store.h"
 #include "mock_env.h"
+#include "storage/replica_storage.h"
+#include "test_util.h"
 
 namespace crsm {
 namespace {
@@ -336,6 +344,99 @@ TEST(ClockRsmUnit, ClockTimeTimerBroadcastsWhenIdle) {
   env.set_clock(env.clock() + 10'000);
   env.fire_due_timers();
   EXPECT_GE(env.count_sent(MsgType::kClockTime), 3u);  // broadcast to config
+}
+
+// A scripted environment over real ReplicaStorage and a KvStore, wired
+// like NodeRuntime's storage half: deliver() applies the command, then
+// reports it to note_commit.
+class StorageEnv final : public StorageBackedEnv {
+ public:
+  StorageEnv(ReplicaId self, StorageOptions opt)
+      : StorageBackedEnv(std::move(opt)), self_(self) {}
+
+  [[nodiscard]] ReplicaId self() const override { return self_; }
+  void send(ReplicaId to, const Message& m) override {
+    Message copy = m;
+    copy.from = self_;
+    sent.push_back({to, std::move(copy)});
+  }
+  [[nodiscard]] Tick clock_now() override { return ++clock_; }
+  void schedule_after(Tick, std::function<void()>) override {}
+  void deliver(const Command& cmd, Timestamp ts, bool) override {
+    sm.apply(cmd);
+    storage_.note_commit(sm, ts);
+  }
+  void install_checkpoint(std::string_view blob) override {
+    storage_.install_checkpoint(blob, sm);
+  }
+
+  KvStore sm;
+  std::vector<MockEnv::Sent> sent;
+
+ private:
+  ReplicaId self_;
+  Tick clock_ = 1'000'000;
+};
+
+TEST(ClockRsmUnit, CompactedVolatileServerAnswersCatchupWithSnapshot) {
+  // Server: a volatile replica that committed enough of replica 1's
+  // commands for its log to drop the executed prefix.
+  StorageEnv server(kSelf, StorageOptions{});
+  ClockRsmReplica replica(server, kSpec, {.clocktime_enabled = false});
+  replica.start();
+  constexpr std::uint64_t kCommands = 3000;
+  for (std::uint64_t i = 1; i <= kCommands; ++i) {
+    const Timestamp ts{10 * i, 1};
+    Message p = prepare(1, ts, i);
+    p.cmd = test::kv_put(7, i, "k" + std::to_string(i % 50), std::to_string(i));
+    replica.on_message(p);
+    for (ReplicaId r : kSpec) replica.on_message(prepare_ok(r, ts, ts.ticks));
+  }
+  ASSERT_EQ(replica.last_commit_ts(), (Timestamp{10 * kCommands, 1}));
+  const Timestamp floor = server.recovery_floor();
+  ASSERT_GT(floor, kZeroTimestamp) << "the executed prefix was never dropped";
+  EXPECT_LT(server.log().records().size(),
+            2 + ReplicaStorage::kCompactionSlack);
+
+  // Replica 2 asks from below the floor: the log cannot serve that range,
+  // so the reply carries a snapshot of the live state.
+  server.sent.clear();
+  Message req;
+  req.type = MsgType::kCatchupReq;
+  req.from = 2;
+  req.ts = kZeroTimestamp;
+  replica.on_message(req);
+  ASSERT_EQ(server.sent.size(), 1u);
+  const Message& reply = server.sent[0].msg;
+  EXPECT_EQ(reply.type, MsgType::kCatchupReply);
+  EXPECT_EQ(reply.ts, replica.last_commit_ts());
+  ASSERT_EQ(reply.a, 1u);
+  for (const LogRecord& rec : reply.records) EXPECT_GT(rec.ts, floor);
+
+  // The blob installs, through a durable peer's storage, to the server's
+  // state at its commit bound.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("crsm_catchup_unit_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    StorageOptions durable;
+    durable.dir = dir.string();
+    ReplicaStorage peer(durable);
+    KvStore peer_sm;
+    peer.install_checkpoint(reply.blob.view(), peer_sm);
+    EXPECT_EQ(peer_sm.state_digest(), server.sm.state_digest());
+    EXPECT_EQ(peer.recovery_floor(), replica.last_commit_ts());
+  }
+  std::filesystem::remove_all(dir);
+
+  // A request at or above the floor is served from the log alone.
+  server.sent.clear();
+  req.ts = floor;
+  replica.on_message(req);
+  ASSERT_EQ(server.sent.size(), 1u);
+  EXPECT_EQ(server.sent[0].msg.a, 0u);
+  EXPECT_TRUE(server.sent[0].msg.blob.empty());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Unit tests for the pluggable storage seam: GroupCommitLog fsync batching
-// and ReplicaStorage's checkpoint/recovery lifecycle.
+// and sync accounting, ReplicaStorage's checkpoint/recovery lifecycle, and
+// the volatile log's executed-prefix compaction.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,13 +15,14 @@
 namespace crsm {
 namespace {
 
-Command cmd(std::uint64_t seq) {
+// A put of "v<seq>" to key "k<seq % keys>".
+Command cmd(std::uint64_t seq, std::uint64_t keys = ~0ULL) {
   Command c;
   c.client = 7;
   c.seq = seq;
   KvRequest r;
   r.op = KvOp::kPut;
-  r.key = "k" + std::to_string(seq);
+  r.key = "k" + std::to_string(seq % keys);
   r.value = "v" + std::to_string(seq);
   c.payload = r.encode();
   return c;
@@ -82,6 +84,27 @@ TEST(GroupCommitLog, PassThroughModeSyncsInline) {
   log.sync();
   EXPECT_EQ(inner->syncs, 1);
   EXPECT_FALSE(log.sync_pending());
+  StorageStats s;
+  log.fill_stats(&s);
+  EXPECT_EQ(s.syncs, 1u);
+  EXPECT_EQ(s.max_batch, 1u);
+}
+
+TEST(GroupCommitLog, MemLogSyncsAndTruncationsAreNotFsyncs) {
+  // A pass-through sync over a MemLog makes nothing durable: it is a
+  // requested durability point, never an fsync.
+  GroupCommitLog log(std::make_unique<MemLog>(), /*defer_sync=*/false);
+  for (std::uint64_t i = 1; i <= 4; ++i) {
+    log.append(LogRecord::prepare(Timestamp{i, 0}, cmd(i)));
+    log.sync();
+  }
+  log.truncate_prefix(Timestamp{2, 0});
+  StorageStats s;
+  log.fill_stats(&s);
+  EXPECT_EQ(s.sync_requests, 4u);
+  EXPECT_EQ(s.syncs, 0u);
+  EXPECT_EQ(s.max_batch, 0u);
+  EXPECT_EQ(s.log_records, 2u);
 }
 
 class ReplicaStorageTest : public ::testing::Test {
@@ -104,6 +127,31 @@ class ReplicaStorageTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// Drives `s` through `n` prepare/commit/note_commit cycles with a window of
+// `window` prepares logged ahead of execution (as in a pipelined
+// cluster), applying each command to `sm`. Calls `each(i)` after the i-th
+// note_commit.
+template <typename Fn>
+void run_cycles(ReplicaStorage& s, KvStore& sm, std::uint64_t n,
+                std::uint64_t window, Fn each) {
+  for (std::uint64_t i = 1; i <= window; ++i) {
+    s.log().append(LogRecord::prepare(Timestamp{i, 0}, cmd(i, 64)));
+  }
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    const Timestamp ts{i, 0};
+    s.log().append(LogRecord::commit(ts));
+    s.log().sync();
+    sm.apply(cmd(i, 64));
+    s.note_commit(sm, ts);
+    if (i + window <= n) {
+      s.log().append(LogRecord::prepare(Timestamp{i + window, 0},
+                                        cmd(i + window, 64)));
+      s.log().sync();
+    }
+    each(i);
+  }
+}
+
 TEST_F(ReplicaStorageTest, VolatileDefaultsToMemLogNoRecovery) {
   ReplicaStorage s{StorageOptions{}};
   EXPECT_FALSE(s.durable());
@@ -112,6 +160,62 @@ TEST_F(ReplicaStorageTest, VolatileDefaultsToMemLogNoRecovery) {
   s.log().append(LogRecord::prepare(Timestamp{1, 0}, cmd(1)));
   s.log().sync();  // pass-through: nothing pending afterwards
   EXPECT_FALSE(s.sync_pending());
+  EXPECT_TRUE(s.encoded_checkpoint().empty());
+}
+
+TEST_F(ReplicaStorageTest, VolatileLogKeepsOnlyItsUnexecutedTail) {
+  constexpr std::uint64_t kCycles = 100'000;
+  constexpr std::uint64_t kWindow = 16;
+  // The live tail never exceeds the window, so the log stays within twice
+  // that plus the compaction slack, plus the two records of one cycle.
+  constexpr std::size_t kBound =
+      2 * kWindow + ReplicaStorage::kCompactionSlack + 2;
+  ReplicaStorage s{StorageOptions{}};
+  KvStore sm;
+  std::size_t max_size = 0;
+  std::uint64_t compactions = 0;
+  Timestamp last_dropped = kZeroTimestamp;
+  run_cycles(s, sm, kCycles, kWindow, [&](std::uint64_t i) {
+    max_size = std::max(max_size, s.log().records().size());
+    const StorageStats st = s.stats();
+    if (st.log_compactions != compactions) {
+      compactions = st.log_compactions;
+      last_dropped = Timestamp{i, 0};
+    }
+    ASSERT_EQ(st.log_records, s.log().records().size());
+  });
+  EXPECT_LE(max_size, kBound);
+  EXPECT_GE(compactions, 2 * kCycles / kBound);
+  EXPECT_EQ(s.stats().syncs, 0u) << "a MemLog never fsyncs";
+  EXPECT_EQ(s.stats().sync_requests, 2 * kCycles - kWindow);
+
+  // The floor is the last compaction point, and nothing at or below it
+  // survives.
+  EXPECT_EQ(s.recovery_floor(), last_dropped);
+  EXPECT_GT(s.recovery_floor(), kZeroTimestamp);
+  for (const LogRecord& r : s.log().records()) {
+    EXPECT_GT(r.ts, s.recovery_floor());
+  }
+
+  // The checkpoint served for the dropped prefix is the live state at the
+  // last executed timestamp.
+  const Checkpoint cp = Checkpoint::decode(s.encoded_checkpoint());
+  EXPECT_EQ(cp.last_applied, (Timestamp{kCycles, 0}));
+  KvStore restored;
+  restored.restore(cp.state);
+  EXPECT_EQ(restored.state_digest(), sm.state_digest());
+}
+
+TEST_F(ReplicaStorageTest, DurableLogWithoutCheckpointsKeepsEveryRecord) {
+  constexpr std::uint64_t kCycles = 3000;
+  ReplicaStorage s{durable(/*checkpoint_every=*/0)};
+  KvStore sm;
+  run_cycles(s, sm, kCycles, /*window=*/4, [](std::uint64_t) {});
+  s.flush();
+  EXPECT_EQ(s.log().records().size(), 2 * kCycles);
+  EXPECT_EQ(s.stats().log_records, 2 * kCycles);
+  EXPECT_EQ(s.stats().log_compactions, 0u);
+  EXPECT_EQ(s.recovery_floor(), kZeroTimestamp);
   EXPECT_TRUE(s.encoded_checkpoint().empty());
 }
 

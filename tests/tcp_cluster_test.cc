@@ -139,6 +139,56 @@ TEST_P(TcpClusterTest, ConcurrentOriginsAgreeAndStateDigestsMatch) {
   EXPECT_EQ(digests[2], digests[0]);
 }
 
+// A volatile node keeps only its unexecuted log tail: under sustained load
+// every node's in-memory log stays within the compaction bound, the
+// replicas still agree, and no MemLog sync is counted as an fsync. Every
+// protocol delivers in increasing timestamp order, which is what makes
+// dropping the executed prefix safe for each of them.
+TEST_P(TcpClusterTest, VolatileLogsStayBoundedAndReplicasAgree) {
+  TcpCluster cluster(3, factory(3), kv_factory(), opts());
+  std::atomic<int> replies{0};
+  cluster.set_reply_hook([&](ReplicaId, const Command&) { ++replies; });
+  cluster.start();
+  // Each round waits until every replica executed it, so a live tail never
+  // holds more than kRound prepares. A log then holds at most twice the
+  // tail left by its last compaction plus the slack, plus the prepares
+  // appended since its last note_commit.
+  constexpr int kRound = 400;
+  constexpr int kRounds = 50;  // 20,000 commands
+  constexpr std::uint64_t kBound = 3 * kRound + ReplicaStorage::kCompactionSlack;
+  std::uint64_t max_records = 0;
+  std::uint64_t seq = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kRound; ++i) {
+      const ReplicaId r = static_cast<ReplicaId>(i % 3);
+      ++seq;
+      cluster.submit(r, kv_put(make_client_id(r, 0), seq,
+                               "k" + std::to_string(seq % 100), "v"));
+    }
+    const int done = (round + 1) * kRound;
+    ASSERT_TRUE(eventually([&] {
+      return replies.load() == done && cluster.executed(0) == done &&
+             cluster.executed(1) == done && cluster.executed(2) == done;
+    })) << "round " << round;
+    for (ReplicaId r = 0; r < 3; ++r) {
+      max_records = std::max(max_records,
+                             cluster.node(r).storage_stats().log_records);
+    }
+  }
+  EXPECT_LE(max_records, kBound);
+  for (ReplicaId r = 0; r < 3; ++r) {
+    const StorageStats s = cluster.node(r).storage_stats();
+    EXPECT_LE(s.log_records, kBound) << "replica " << r;
+    EXPECT_GT(s.log_compactions, 0u) << "replica " << r;
+    EXPECT_EQ(s.syncs, 0u) << "replica " << r;
+    EXPECT_GT(s.sync_requests, 0u) << "replica " << r;
+  }
+  const std::uint64_t digest = cluster.node(0).state_digest();
+  EXPECT_EQ(cluster.node(1).state_digest(), digest);
+  EXPECT_EQ(cluster.node(2).state_digest(), digest);
+  cluster.stop();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Protocols, TcpClusterTest,
     ::testing::Combine(::testing::Values("clockrsm", "paxos", "paxos-bcast",
